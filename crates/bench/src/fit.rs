@@ -32,23 +32,6 @@ pub fn log_log_slope(xs: &[f64], ys: &[f64]) -> f64 {
     cov / var
 }
 
-/// Geometric mean of a slice.
-///
-/// # Panics
-///
-/// Panics on empty input or non-positive values.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty());
-    let s: f64 = values
-        .iter()
-        .map(|&v| {
-            assert!(v > 0.0);
-            v.ln()
-        })
-        .sum();
-    (s / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,11 +56,6 @@ mod tests {
             .collect();
         let slope = log_log_slope(&xs, &ys);
         assert!((slope - 1.5).abs() < 0.1, "got {slope}");
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[4.0, 16.0]) - 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -315,9 +315,22 @@ impl<P: Protocol> AsyncEngine<P> {
                 // own crossings.
                 t.end(SpanStage::LatencyHeap, t_lh, tx.delivered_so_far());
             }
+            // The fault decisions are taken at each crossing, inside the
+            // pump and the offers, so the filter's span wraps both.
+            let t_ff = match (compiled, tel.as_deref_mut()) {
+                (Some(_), Some(t)) => t.begin(SpanStage::FaultFilter),
+                _ => None,
+            };
+            let before = t_ff.map(|_| tx.settled_so_far() + lat.parked() as u64);
             tx.pump_backlog_latent(lat, compiled, &mut scratch, chunk, obs, &mut sink);
             for (dir, msg) in pending.drain() {
                 tx.offer_latent(lat, compiled, dir as usize, msg, obs, &mut sink);
+            }
+            if let (Some(t), Some(before)) = (tel.as_deref_mut(), before) {
+                // Events: every crossing the filter inspected, whether it
+                // was delivered now, dropped, or parked on the heap.
+                let inspected = tx.settled_so_far() + lat.parked() as u64 - before;
+                t.end(SpanStage::FaultFilter, t_ff, inspected);
             }
             flow = tx.finish(&mut core.metrics);
         }

@@ -1123,6 +1123,11 @@ impl<'a, M: Payload> Transmitter<'a, M> {
         self.delivered_msgs
     }
 
+    /// Crossings settled so far this round: delivered plus dropped.
+    pub(crate) fn settled_so_far(&self) -> u64 {
+        self.delivered_msgs + self.dropped_msgs
+    }
+
     /// Folds the accumulated counters into `metrics` and returns them as
     /// this round's flow, for the telemetry layer (ignored when
     /// telemetry is off).

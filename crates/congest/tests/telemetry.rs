@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use welle_congest::testing::{assert_all_execs_agree, run_everywhere, BfsWave, Echo, FloodMax};
 use welle_congest::{
-    Context, Engine, EngineConfig, FaultPlan, Protocol, Retention, SpanStage, TelemetryConfig,
+    AsyncEngine, Context, Engine, EngineConfig, FaultPlan, LatencyModel, Protocol, Retention,
+    SpanStage, TelemetryConfig,
 };
 use welle_graph::{gen, Graph, Port};
 
@@ -223,6 +224,26 @@ fn profiler_counts_are_deterministic_and_wall_clock_is_separate() {
     assert_eq!(round.entries, active, "one Round span per active round");
     let heap = pa.iter().find(|s| s.stage == SpanStage::LatencyHeap).unwrap();
     assert_eq!(heap.entries, 0, "the serial engine has no latency heap");
+}
+
+#[test]
+fn async_fault_filter_span_covers_its_drops() {
+    let g = expander(64, 23);
+    let plan = FaultPlan::new(5).drop_rate(0.05);
+    for model in [LatencyModel::zero(), LatencyModel::log_normal(0.3, 0.6).seed(3)] {
+        let nodes = (0..g.n()).map(|i| FloodMax::new(i as u64)).collect();
+        let mut e = AsyncEngine::new(Arc::clone(&g), nodes, EngineConfig::default(), model);
+        e.set_fault_plan(&plan).unwrap();
+        e.set_telemetry(TelemetryConfig::full().with_profile());
+        e.run(10_000);
+        let dropped = e.metrics().dropped_messages;
+        assert!(dropped > 0, "{model:?}: the plan must actually bite");
+        let profile = e.take_telemetry().unwrap().profile.expect("profiling was on");
+        let filter = profile.iter().find(|s| s.stage == SpanStage::FaultFilter).unwrap();
+        assert!(filter.entries > 0, "{model:?}: dropped={dropped} outside any fault_filter span");
+        // Every drop here is an i.i.d. crossing drop, taken inside the span.
+        assert!(filter.events >= dropped, "{model:?}: {} events < {dropped} drops", filter.events);
+    }
 }
 
 #[test]

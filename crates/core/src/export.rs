@@ -105,18 +105,18 @@ pub fn write_samples_jsonl(report: &TelemetryReport, w: &mut impl Write) -> io::
 /// check [`ElectionReport::telemetry`] first.
 pub fn phase_table(report: &ElectionReport) -> String {
     let mut out = String::new();
-    out.push_str("phase   rounds      messages\n");
+    out.push_str("phase  active_rounds      messages\n");
     for p in Phase::ALL {
         let i = p.tag() as usize;
         out.push_str(&format!(
-            "{:<6} {:>7} {:>13}\n",
+            "{:<6} {:>13} {:>13}\n",
             p.name(),
             report.phase_rounds[i],
             report.phase_messages[i],
         ));
     }
     out.push_str(&format!(
-        "{:<6} {:>7} {:>13}\n",
+        "{:<6} {:>13} {:>13}\n",
         "total",
         report.phase_rounds.iter().sum::<u64>(),
         report.phase_messages.iter().sum::<u64>(),
@@ -211,6 +211,7 @@ mod tests {
         for p in Phase::ALL {
             assert!(table.contains(p.name()), "missing {}", p.name());
         }
+        assert!(table.starts_with("phase  active_rounds      messages\n"));
         assert!(table.contains("total"));
         // The totals row agrees with the report's arrays.
         let rounds: u64 = report.phase_rounds.iter().sum();

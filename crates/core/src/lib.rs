@@ -111,4 +111,4 @@ pub use welle_congest::{
     FaultError, FaultPlan, LatencyDist, LatencyError, LatencyModel, PhaseTotals, Retention,
     RoundSample, SpanStage, SpanStats, TelemetryConfig, TelemetryReport,
 };
-pub use state::{ContenderState, Decision, EpochRecord, NodeStats, ProxyRecord};
+pub use state::{ContenderState, Decision, EpochRecord, IdSet, NodeStats, ProxyRecord};

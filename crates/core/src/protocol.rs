@@ -19,17 +19,17 @@
 //!    and have heard no winner — declare leadership and flood a winner
 //!    wave (proxies relay it to all their contenders).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::RngExt;
 use welle_congest::{Context, Protocol, Signal};
 use welle_graph::Port;
-use welle_walks::{split_lazy, Hop, ReverseRoute, TrailStore};
+use welle_walks::{split_lazy_into, Hop, LazySplit, ReverseRoute, TrailStore};
 
 use crate::config::{Params, Phase, SyncMode};
 use crate::msg::{ElectionMsg, FwdItem, MsgView, RevItem};
-use crate::state::{ContenderState, Decision, EpochRecord, NodeStats, ProxyRecord};
+use crate::state::{ContenderState, Decision, EpochRecord, IdSet, NodeStats, ProxyRecord};
 
 /// The signal value the adaptive driver broadcasts to advance one segment.
 pub const SIGNAL_ADVANCE: Signal = 1;
@@ -47,12 +47,17 @@ pub struct ElectionNode {
     /// Lazy-step holdovers: `(origin, epoch, remaining, count)` to process
     /// next round.
     pending_stays: Vec<(u64, u32, u32, u32)>,
+    /// The other half of the `pending_stays` double buffer: last round's
+    /// holdovers while they are processed, empty otherwise.
+    stays_draining: Vec<(u64, u32, u32, u32)>,
+    /// Reused output of every lazy split at this node (at most `degree`
+    /// moves).
+    split: LazySplit,
     /// Union of `I2` fragments received this epoch while acting as proxy.
-    i3_acc: std::collections::BTreeSet<u64>,
-    /// Per-epoch forward dedup ("filtering and forwarding"). Ordered
-    /// container: seeded-path state must never depend on hash order
-    /// (enforced by `welle-lint`'s `no-hash-iter`).
-    fwd_seen: BTreeSet<u64>,
+    /// Ascending order: `emit_r3` sends it as is.
+    i3_acc: IdSet,
+    /// Per-epoch forward dedup ("filtering and forwarding").
+    fwd_seen: IdSet,
     winner_heard: Option<u64>,
     winner_relayed_as_proxy: bool,
     /// Next unfired global segment index.
@@ -80,8 +85,10 @@ impl ElectionNode {
             trails: TrailStore::new(),
             proxies: BTreeMap::new(),
             pending_stays: Vec::new(),
-            i3_acc: std::collections::BTreeSet::new(),
-            fwd_seen: BTreeSet::new(),
+            stays_draining: Vec::new(),
+            split: LazySplit::default(),
+            i3_acc: IdSet::default(),
+            fwd_seen: IdSet::default(),
             winner_heard: None,
             winner_relayed_as_proxy: false,
             seg_idx: 0,
@@ -252,7 +259,7 @@ impl ElectionNode {
                 // paper's I2 (our id reaches I3/I4 anyway through shared
                 // proxies whenever it matters); can only reduce the
                 // multi-leader risk, never the at-least-one guarantee.
-                let mut v: Vec<u64> = c.i2.iter().copied().collect();
+                let mut v = c.i2.as_slice().to_vec();
                 v.push(self.id);
                 v
             }
@@ -277,9 +284,11 @@ impl ElectionNode {
         if emissions.is_empty() {
             return;
         }
-        let i3: Vec<u64> = self.i3_acc.iter().copied().collect();
+        // Moved out (not copied) for the loop: routing an R3 unit never
+        // touches `i3_acc`.
+        let i3 = std::mem::take(&mut self.i3_acc);
         for (origin, walk_len) in emissions {
-            for chunk in i3.chunks(self.params.frag) {
+            for chunk in i3.as_slice().chunks(self.params.frag) {
                 self.send_reverse(
                     ctx,
                     origin,
@@ -289,6 +298,7 @@ impl ElectionNode {
                 );
             }
         }
+        self.i3_acc = i3;
     }
 
     fn decide(&mut self, ctx: &mut Context<'_, ElectionMsg>, epoch: u32) {
@@ -323,12 +333,9 @@ impl ElectionNode {
             // winner heard.
             let max_known = c
                 .i4_extra
-                .iter()
-                .chain(c.i2.iter())
-                .copied()
-                .chain(std::iter::once(self.id))
-                .max()
-                .unwrap_or(self.id);
+                .last()
+                .max(c.i2.last())
+                .map_or(self.id, |m| m.max(self.id));
             let wins =
                 !c.gave_up && self.winner_heard.is_none() && max_known == self.id;
             self.decided = Some(if wins {
@@ -393,24 +400,16 @@ impl ElectionNode {
             rec.count += count;
             return;
         }
-        let split = split_lazy(count, ctx.degree(), ctx.rng());
-        if split.stay > 0 {
-            self.trails
-                .enter_epoch(origin, epoch, walk_len)
-                // welle-lint: allow(no-lib-unwrap) — invariant: enter_epoch for this (origin, epoch) succeeded lines above with the same walk_len
-                .expect("trail just created")
-                .record_out(step, Hop::Stay);
+        split_lazy_into(count, ctx.degree(), ctx.rng(), &mut self.split);
+        if self.split.stay > 0 {
+            trail.record_out(step, Hop::Stay);
             self.pending_stays
-                .push((origin, epoch, remaining - 1, split.stay));
+                .push((origin, epoch, remaining - 1, self.split.stay));
             let next = ctx.round() + 1;
             ctx.wake_at(next);
         }
-        for (port, cnt) in split.moves {
-            self.trails
-                .enter_epoch(origin, epoch, walk_len)
-                // welle-lint: allow(no-lib-unwrap) — invariant: enter_epoch for this (origin, epoch) succeeded lines above with the same walk_len
-                .expect("trail just created")
-                .record_out(step, Hop::Via(port));
+        for &(port, cnt) in &self.split.moves {
+            trail.record_out(step, Hop::Via(port));
             ctx.send(port, ElectionMsg::walk(origin, epoch, remaining - 1, cnt));
         }
     }
@@ -529,12 +528,11 @@ impl ElectionNode {
             self.stats.broken_routes += 1;
             return;
         };
-        let ports = trail.distinct_out_ports();
         let is_proxy = self
             .proxies
             .get(&origin)
             .is_some_and(|r| r.epoch == epoch);
-        for port in ports {
+        for &port in trail.distinct_out_ports() {
             // Re-address to step 0 for the next hop; interned id runs
             // are shared, not re-cloned per edge.
             ctx.send(port, msg.with_step(0));
@@ -636,11 +634,16 @@ impl Protocol for ElectionNode {
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, ElectionMsg>, inbox: &mut Vec<(Port, ElectionMsg)>) {
-        // Lazy-step holdovers from last round first.
-        let stays = std::mem::take(&mut self.pending_stays);
-        for (origin, epoch, remaining, count) in stays {
+        // Lazy-step holdovers from last round first. The two buffers swap
+        // roles each round, so neither gives up its capacity; taking the
+        // drained one out of `self` for the loop allocates nothing.
+        let mut stays = std::mem::take(&mut self.stays_draining);
+        std::mem::swap(&mut stays, &mut self.pending_stays);
+        for &(origin, epoch, remaining, count) in &stays {
             self.handle_walk_tokens(ctx, origin, epoch, remaining, count, Hop::Stay);
         }
+        stays.clear();
+        self.stays_draining = stays;
         for (port, msg) in inbox.drain(..) {
             self.handle_message(ctx, port, msg);
         }

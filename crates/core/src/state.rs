@@ -1,6 +1,6 @@
 //! Per-node protocol state: roles, proxy records, per-epoch bookkeeping.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Final verdict of a node (Algorithm 1 line 4 / Algorithm 2 lines 5+9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +37,63 @@ impl ProxyRecord {
     }
 }
 
+/// A set of `u64`s (contender ids, or forward dedup keys) stored as a
+/// sorted, deduplicated `Vec`.
+///
+/// It iterates in ascending order, exactly as a `BTreeSet<u64>` does, so
+/// it may hold state whose iteration order reaches the wire (seeded-path
+/// iteration order must be deterministic: `welle-lint: no-hash-iter`).
+/// Unlike a `BTreeSet`, it allocates no node per insert, and
+/// [`IdSet::clear`] keeps the buffer for the next epoch.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct IdSet(Vec<u64>);
+
+impl IdSet {
+    /// Adds `id`; returns whether it was new.
+    pub fn insert(&mut self, id: u64) -> bool {
+        match self.0.binary_search(&id) {
+            Ok(_) => false,
+            Err(at) => {
+                self.0.insert(at, id);
+                true
+            }
+        }
+    }
+
+    /// Number of ids.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Removes every id, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// The largest id, if any.
+    pub fn last(&self) -> Option<u64> {
+        self.0.last().copied()
+    }
+
+    /// The ids in ascending order.
+    pub fn as_slice(&self) -> &[u64] {
+        &self.0
+    }
+}
+
+impl Extend<u64> for IdSet {
+    fn extend<I: IntoIterator<Item = u64>>(&mut self, ids: I) {
+        for id in ids {
+            self.insert(id);
+        }
+    }
+}
+
 /// What a contender measured in one epoch (drives the E2/E3 experiment
 /// tables).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,9 +122,9 @@ pub struct ContenderState {
     /// iteration order must be deterministic (`welle-lint: no-hash-iter`).
     pub proxy_counts: BTreeMap<u64, u32>,
     /// `I2`: union of received `I1` fragments (other contenders' ids).
-    pub i2: BTreeSet<u64>,
+    pub i2: IdSet,
     /// Round-3 data: union of received `I3` fragments.
-    pub i4_extra: BTreeSet<u64>,
+    pub i4_extra: IdSet,
     /// The epoch at which this contender stopped, once it has.
     pub stopped_epoch: Option<u32>,
     /// Hit the walk-length cap without satisfying the properties.
@@ -111,6 +168,23 @@ pub struct NodeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_set_matches_btree_set_order() {
+        let ids = [9u64, 3, 9, 1, u64::MAX, 3, 0, 7];
+        let mut set = IdSet::default();
+        let mut reference = std::collections::BTreeSet::new();
+        for id in ids {
+            assert_eq!(set.insert(id), reference.insert(id));
+        }
+        assert!(set.as_slice().iter().eq(reference.iter()));
+        assert_eq!(set.len(), reference.len());
+        assert_eq!(set.last(), reference.last().copied());
+        set.extend([4, 1]);
+        assert_eq!(set.as_slice(), &[0, 1, 3, 4, 7, 9, u64::MAX]);
+        set.clear();
+        assert!(set.is_empty() && set.last().is_none());
+    }
 
     #[test]
     fn proxy_record_validity() {

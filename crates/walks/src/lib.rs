@@ -43,5 +43,5 @@ pub use mixing::{
     mixing_time_spectral_estimate, MixingOptions, StartPolicy,
 };
 pub use distributed::{run_walk_fleet, FleetMsg, WalkFleetNode, SIGNAL_REPORT};
-pub use token::{split_lazy, LazySplit, TokenBatch};
+pub use token::{split_lazy, split_lazy_into, LazySplit, TokenBatch};
 pub use trails::{Hop, ReverseRoute, Trail, TrailStore};

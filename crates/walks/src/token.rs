@@ -46,28 +46,45 @@ pub struct LazySplit {
 /// Splits `count` walks one lazy step: each stays with probability ½,
 /// otherwise picks one of `degree` ports uniformly.
 ///
+/// Allocates a fresh [`LazySplit`]; hot loops reuse one through
+/// [`split_lazy_into`], which draws the same random numbers.
+///
 /// # Panics
 ///
 /// Panics if `degree == 0` (an isolated node cannot host walks).
 pub fn split_lazy<R: Rng + ?Sized>(count: u32, degree: usize, rng: &mut R) -> LazySplit {
+    let mut split = LazySplit::default();
+    split_lazy_into(count, degree, rng, &mut split);
+    split
+}
+
+/// [`split_lazy`] into a caller-owned buffer: overwrites `out`, reusing
+/// the capacity of `out.moves` (at most `degree` entries). For every
+/// walk it draws the stay coin and, for a mover, the port, in that
+/// order; `out.moves` ends sorted by port.
+///
+/// # Panics
+///
+/// Panics if `degree == 0` (an isolated node cannot host walks).
+pub fn split_lazy_into<R: Rng + ?Sized>(
+    count: u32,
+    degree: usize,
+    rng: &mut R,
+    out: &mut LazySplit,
+) {
     assert!(degree > 0, "cannot forward walks from an isolated node");
-    let mut stay = 0u32;
-    let mut port_counts: Vec<u32> = vec![0; degree];
+    out.stay = 0;
+    // Dense per-port tally first, then drop the ports no walk took.
+    out.moves.clear();
+    out.moves.extend((0..degree).map(|p| (Port::new(p), 0)));
     for _ in 0..count {
         if rng.random_bool(0.5) {
-            stay += 1;
+            out.stay += 1;
         } else {
-            let p = rng.random_range(0..degree);
-            port_counts[p] += 1;
+            out.moves[rng.random_range(0..degree)].1 += 1;
         }
     }
-    let moves = port_counts
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, c)| c > 0)
-        .map(|(p, c)| (Port::new(p), c))
-        .collect();
-    LazySplit { stay, moves }
+    out.moves.retain(|&(_, c)| c > 0);
 }
 
 #[cfg(test)]

@@ -13,8 +13,6 @@
 //! Trails store sparse `(step, hop)` pairs: memory is proportional to the
 //! number of distinct passages, not to the walk length.
 
-use std::collections::BTreeMap;
-
 use welle_graph::Port;
 
 /// One hop of a walk trail as seen from a node.
@@ -40,6 +38,9 @@ pub struct Trail {
     /// Deduplicated `(step, hop)` pairs: step-`s` tokens left via hop
     /// (arriving elsewhere as step `s + 1`).
     outs: Vec<(u32, Hop)>,
+    /// The `Via` ports of `outs`, sorted and deduplicated (kept in step
+    /// by [`Trail::record_out`]).
+    out_ports: Vec<Port>,
 }
 
 impl Trail {
@@ -50,7 +51,19 @@ impl Trail {
             finalized: false,
             ins: Vec::new(),
             outs: Vec::new(),
+            out_ports: Vec::new(),
         }
+    }
+
+    /// Turns this trail into an empty one of another epoch, keeping the
+    /// capacity of its lists.
+    fn reset(&mut self, epoch: u32, len: u32) {
+        self.epoch = epoch;
+        self.len = len;
+        self.finalized = false;
+        self.ins.clear();
+        self.outs.clear();
+        self.out_ports.clear();
     }
 
     /// Epoch this trail belongs to.
@@ -83,8 +96,14 @@ impl Trail {
 
     /// Records that step-`step` tokens left here via `hop` (deduplicated).
     pub fn record_out(&mut self, step: u32, hop: Hop) {
-        if !self.outs.contains(&(step, hop)) {
-            self.outs.push((step, hop));
+        if self.outs.contains(&(step, hop)) {
+            return;
+        }
+        self.outs.push((step, hop));
+        if let Hop::Via(p) = hop {
+            if let Err(at) = self.out_ports.binary_search(&p) {
+                self.out_ports.insert(at, p);
+            }
         }
     }
 
@@ -136,19 +155,10 @@ impl Trail {
     /// steps. Forward waves (round 2, stop marks, winner messages) are
     /// relayed over exactly these ports once per item — the paper's
     /// "filtering and forwarding": every path segment of the walk DAG is
-    /// covered, and per-node dedup keeps one copy per edge.
-    pub fn distinct_out_ports(&self) -> Vec<Port> {
-        let mut ports: Vec<Port> = self
-            .outs
-            .iter()
-            .filter_map(|&(_, h)| match h {
-                Hop::Via(p) => Some(p),
-                _ => None,
-            })
-            .collect();
-        ports.sort_unstable();
-        ports.dedup();
-        ports
+    /// covered, and per-node dedup keeps one copy per edge. Ascending
+    /// port order.
+    pub fn distinct_out_ports(&self) -> &[Port] {
+        &self.out_ports
     }
 }
 
@@ -171,11 +181,19 @@ pub enum ReverseRoute {
 /// finalized trails persist for the rest of the execution (their origin
 /// stopped and keeps its proxies).
 ///
-/// Ordered map: [`TrailStore::iter`] walks the store, and seeded-path
-/// iteration order must be deterministic (`welle-lint: no-hash-iter`).
+/// A `Vec` sorted by origin, searched by bisection: [`TrailStore::iter`]
+/// walks it in ascending origin order, as an ordered map would, and
+/// seeded-path iteration order must be deterministic
+/// (`welle-lint: no-hash-iter`). A node tracks few origins, so inserts
+/// shift little. A trail replaced at an epoch change is reset in place,
+/// and one dropped by [`TrailStore::gc`] is kept empty for the next
+/// origin, so both keep the capacity of their lists.
 #[derive(Clone, Debug, Default)]
 pub struct TrailStore {
-    trails: BTreeMap<u64, Trail>,
+    trails: Vec<(u64, Trail)>,
+    /// Trails dropped by `gc`, reset when reused. Together with `trails`
+    /// never more than the store once held at the same time.
+    spare: Vec<Trail>,
 }
 
 impl TrailStore {
@@ -200,35 +218,47 @@ impl TrailStore {
     /// stopped contender cannot restart) or newer than `epoch` (stale
     /// token arriving late — dropped).
     pub fn enter_epoch(&mut self, origin: u64, epoch: u32, len: u32) -> Option<&mut Trail> {
-        match self.trails.get(&origin) {
-            Some(t) if t.finalized => {
+        match self.search(origin) {
+            Ok(i) => {
+                let t = &mut self.trails[i].1;
                 if t.epoch == epoch {
-                    return self.trails.get_mut(&origin);
+                    return Some(t);
                 }
-                return None;
+                if t.finalized || t.epoch > epoch {
+                    return None;
+                }
+                t.reset(epoch, len);
+                Some(t)
             }
-            Some(t) if t.epoch > epoch => return None,
-            Some(t) if t.epoch == epoch => return self.trails.get_mut(&origin),
-            _ => {}
+            Err(i) => {
+                let trail = match self.spare.pop() {
+                    Some(mut t) => {
+                        t.reset(epoch, len);
+                        t
+                    }
+                    None => Trail::new(epoch, len),
+                };
+                self.trails.insert(i, (origin, trail));
+                Some(&mut self.trails[i].1)
+            }
         }
-        self.trails.insert(origin, Trail::new(epoch, len));
-        self.trails.get_mut(&origin)
     }
 
     /// The trail for `origin` at exactly `epoch`, if present.
     pub fn at_epoch(&self, origin: u64, epoch: u32) -> Option<&Trail> {
-        self.trails.get(&origin).filter(|t| t.epoch == epoch)
+        self.current(origin).filter(|t| t.epoch == epoch)
     }
 
     /// The current trail of `origin`, whatever its epoch.
     pub fn current(&self, origin: u64) -> Option<&Trail> {
-        self.trails.get(&origin)
+        self.search(origin).ok().map(|i| &self.trails[i].1)
     }
 
     /// Marks `origin`'s trail at `epoch` as final (the contender stopped
     /// with this guess); ignored if the stored epoch differs.
     pub fn finalize(&mut self, origin: u64, epoch: u32) {
-        if let Some(t) = self.trails.get_mut(&origin) {
+        if let Ok(i) = self.search(origin) {
+            let t = &mut self.trails[i].1;
             if t.epoch == epoch {
                 t.finalized = true;
             }
@@ -238,13 +268,23 @@ impl TrailStore {
     /// Drops non-finalized trails older than `current_epoch` (their
     /// origins moved on; the records can never be used again).
     pub fn gc(&mut self, current_epoch: u32) {
-        self.trails
-            .retain(|_, t| t.finalized || t.epoch >= current_epoch);
+        let spare = &mut self.spare;
+        self.trails.retain_mut(|(_, t)| {
+            let keep = t.finalized || t.epoch >= current_epoch;
+            if !keep {
+                spare.push(std::mem::replace(t, Trail::new(0, 0)));
+            }
+            keep
+        });
     }
 
-    /// Iterates over `(origin, trail)` pairs.
+    /// Iterates over `(origin, trail)` pairs in ascending origin order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Trail)> {
-        self.trails.iter().map(|(&o, t)| (o, t))
+        self.trails.iter().map(|(o, t)| (*o, t))
+    }
+
+    fn search(&self, origin: u64) -> Result<usize, usize> {
+        self.trails.binary_search_by_key(&origin, |&(o, _)| o)
     }
 }
 

@@ -604,7 +604,7 @@ fn main() -> ExitCode {
                     };
                     println!(
                         "{scenario}seed {}: leaders={:?} id={:?} contenders={} msgs={} bits={} \
-                         rounds={} t_u={} epochs={} gave_up={}{faults}{vtime}",
+                         decided_round={} t_u={} epochs={} gave_up={}{faults}{vtime}",
                         t.seed,
                         rep.leaders,
                         rep.leader_id,
@@ -681,7 +681,7 @@ fn main() -> ExitCode {
                     });
                     match written {
                         Ok(()) => eprintln!(
-                            "round log: {} samples -> {}",
+                            "round log: {} active_rounds -> {}",
                             telemetry.samples.len(),
                             path.display()
                         ),
