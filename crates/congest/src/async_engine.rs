@@ -163,11 +163,6 @@ impl<P: Protocol> AsyncEngine<P> {
         self.core.in_flight().saturating_add(self.lat.parked() as u64)
     }
 
-    /// Caps the transmission scratch; see [`Engine::set_transmit_chunk`].
-    pub fn set_transmit_chunk(&mut self, limit: usize) {
-        self.core.set_transmit_chunk(limit);
-    }
-
     /// Peak queued-message population of the underlying edge queues
     /// (parked heap messages excluded); see [`Engine::peak_arena_slots`].
     pub fn peak_arena_slots(&self) -> u64 {
@@ -275,14 +270,12 @@ impl<P: Protocol> AsyncEngine<P> {
             t.end(SpanStage::Callbacks, t_cb, callbacks_run);
         }
 
-        let mut scratch = std::mem::take(&mut core.deliveries);
         let mut pending = std::mem::take(&mut core.pending);
         // The compiled fault schedule rides the core's fault state, but
         // its delay heap stays empty: latency and fault delays share the
         // tick heap in `lat`.
         let faults = core.faults.take();
         let compiled = faults.as_deref().map(|f| &*f.compiled);
-        let chunk = core.chunk_limit;
         let horizon = core
             .round
             .saturating_add(1)
@@ -297,6 +290,7 @@ impl<P: Protocol> AsyncEngine<P> {
                 &mut core.queues,
                 &mut core.last_carried,
                 core.round,
+                obs.wants_events(),
             );
             let inboxes = &mut core.inboxes;
             let inbox_flag = &mut core.inbox_flag;
@@ -322,7 +316,7 @@ impl<P: Protocol> AsyncEngine<P> {
                 _ => None,
             };
             let before = t_ff.map(|_| tx.settled_so_far() + lat.parked() as u64);
-            tx.pump_backlog_latent(lat, compiled, &mut scratch, chunk, obs, &mut sink);
+            tx.pump_backlog_latent(lat, compiled, obs, &mut sink);
             for (dir, msg) in pending.drain() {
                 tx.offer_latent(lat, compiled, dir as usize, msg, obs, &mut sink);
             }
@@ -338,7 +332,6 @@ impl<P: Protocol> AsyncEngine<P> {
             t.end(SpanStage::Deliver, t_deliver, flow.messages);
         }
         core.faults = faults;
-        core.deliveries = scratch;
         core.pending = pending;
         if any_activity || transmitted {
             core.metrics.active_rounds += 1;

@@ -118,17 +118,10 @@ pub struct Engine<P: Protocol> {
     pub(crate) done_flags: Vec<bool>,
     pub(crate) done_count: usize,
     pub(crate) metrics: Metrics,
-    /// Reused transmission scratch: each round the edge backlog is
-    /// pumped through this batch in chunks of at most `chunk_limit`
-    /// entries (see [`Engine::set_transmit_chunk`]), so its size is
-    /// bounded by the chunk, not by the number of active edges.
-    pub(crate) deliveries: DirBatch<P::Msg>,
     /// Sends of the current round, in send order, awaiting transmission.
     /// Uncongested messages go straight from here to the target inbox;
     /// only backlogged edges touch the arena in `queues`.
     pub(crate) pending: DirBatch<P::Msg>,
-    /// Bound on the per-chunk transmission scratch (slots).
-    pub(crate) chunk_limit: usize,
     /// Round at which each directed edge last carried a message; the
     /// CONGEST one-per-round discipline without per-edge clearing.
     pub(crate) last_carried: Vec<u64>,
@@ -173,9 +166,7 @@ impl<P: Protocol> Engine<P> {
             done_flags: vec![false; n],
             done_count: 0,
             metrics: Metrics::new(n),
-            deliveries: DirBatch::new(),
             pending: DirBatch::new(),
-            chunk_limit: TRANSMIT_CHUNK,
             last_carried: vec![u64::MAX; graph.directed_edge_count()],
             faults: None,
             telemetry: None,
@@ -263,8 +254,8 @@ impl<P: Protocol> Engine<P> {
     /// Resets this engine in place to exactly the state
     /// [`Engine::from_fn`]`(graph, cfg, make)` would construct, but
     /// reusing every arena the previous run grew — node and RNG vectors,
-    /// per-node inboxes, the edge-queue slot pool, delivery and pending
-    /// batches. The graph may differ from the previous run's (vectors
+    /// per-node inboxes, the edge-queue slot pool and the pending
+    /// batch. The graph may differ from the previous run's (vectors
     /// resize as needed), which is what lets a batch scheduler keep one
     /// engine per worker across thousands of trials.
     ///
@@ -306,17 +297,11 @@ impl<P: Protocol> Engine<P> {
         self.done_count = 0;
         self.metrics.reset(n);
         let limit = SHRINK_RATIO.saturating_mul(dcount).max(SHRINK_FLOOR);
-        if self.deliveries.capacity() > limit {
-            self.deliveries.release();
-        } else {
-            self.deliveries.clear();
-        }
         if self.pending.capacity() > limit {
             self.pending.release();
         } else {
             self.pending.clear();
         }
-        self.chunk_limit = TRANSMIT_CHUNK;
         self.last_carried.clear();
         self.last_carried.resize(dcount, u64::MAX);
         self.faults = None;
@@ -328,11 +313,11 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Total slots the engine's reusable message buffers can hold
-    /// without re-allocating: the edge-queue arena plus the delivery and
-    /// pending batches. Diagnostic only — pooling tests assert that
+    /// without re-allocating: the edge-queue arena plus the pending
+    /// batch. Diagnostic only — pooling tests assert that
     /// [`Engine::reset_with`] preserves it.
     pub fn arena_capacity(&self) -> usize {
-        self.queues.arena_capacity() + self.deliveries.capacity() + self.pending.capacity()
+        self.queues.arena_capacity() + self.pending.capacity()
     }
 
     /// High-water mark of simultaneously queued messages since the last
@@ -367,17 +352,6 @@ impl<P: Protocol> Engine<P> {
         (self.pending.len() as u64)
             .saturating_add(self.queues.in_flight())
             .saturating_add(self.faults.as_ref().map_or(0, |f| f.parked() as u64))
-    }
-
-    /// Caps the transmission scratch: each round's backlog is pumped
-    /// through a recycled batch of at most `limit` slots (clamped to
-    /// ≥ 1) instead of materializing one entry per active edge. Every
-    /// setting yields bit-identical executions — the bounded-arena
-    /// differential suite asserts as much — so this knob only trades
-    /// peak scratch memory against per-chunk loop overhead. Default:
-    /// 4096 slots.
-    pub fn set_transmit_chunk(&mut self, limit: usize) {
-        self.chunk_limit = limit.max(1);
     }
 
     /// Immutable view of the protocol instances.
@@ -530,14 +504,12 @@ impl<P: Protocol> Engine<P> {
         }
 
         // Transmission phase: one message per active directed edge.
-        // Backlogged edges deliver their queue head first (pumped in
-        // bounded chunks through the recycled scratch); then the
-        // round's fresh sends either deliver directly (edge idle this
-        // round — the common, allocation-free case) or join the backlog.
-        let mut scratch = std::mem::take(&mut self.deliveries);
+        // Backlogged edges deliver their queue head first (popped
+        // straight into the target inbox); then the round's fresh sends
+        // either deliver directly (edge idle this round — the common,
+        // allocation-free case) or join the backlog.
         let mut pending = std::mem::take(&mut self.pending);
         let mut faults = self.faults.take();
-        let chunk = self.chunk_limit;
         let transmitted = self.queues.in_flight() > 0
             || !pending.is_empty()
             || faults.as_ref().is_some_and(|f| f.due_now(self.round));
@@ -549,6 +521,7 @@ impl<P: Protocol> Engine<P> {
                 &mut self.queues,
                 &mut self.last_carried,
                 self.round,
+                obs.wants_events(),
             );
             let inboxes = &mut self.inboxes;
             let inbox_flag = &mut self.inbox_flag;
@@ -564,7 +537,7 @@ impl<P: Protocol> Engine<P> {
                 // Fault-free fast path: decided once per round, so the
                 // per-message loop stays exactly the unfaulted hot path.
                 None => {
-                    tx.pump_backlog(&mut scratch, chunk, obs, &mut sink);
+                    tx.pump_backlog(obs, &mut sink);
                     for (dir, msg) in pending.drain() {
                         tx.offer(dir as usize, msg, obs, &mut sink);
                     }
@@ -572,13 +545,13 @@ impl<P: Protocol> Engine<P> {
                 Some(fs) => {
                     let t_ff = tel.as_deref_mut().and_then(|t| t.begin(SpanStage::FaultFilter));
                     tx.release_due(fs, obs, &mut sink);
-                    tx.pump_backlog_faulty(fs, &mut scratch, chunk, obs, &mut sink);
+                    tx.pump_backlog_faulty(fs, obs, &mut sink);
                     for (dir, msg) in pending.drain() {
                         tx.offer_faulty(fs, dir as usize, msg, obs, &mut sink);
                     }
                     if let Some(t) = tel.as_deref_mut() {
                         // Events: every crossing the filter inspected.
-                        t.end(SpanStage::FaultFilter, t_ff, tx.delivered_msgs + tx.dropped_msgs);
+                        t.end(SpanStage::FaultFilter, t_ff, tx.settled_so_far());
                     }
                 }
             }
@@ -588,7 +561,6 @@ impl<P: Protocol> Engine<P> {
             t.end(SpanStage::Deliver, t_deliver, flow.messages);
         }
         self.faults = faults;
-        self.deliveries = scratch;
         self.pending = pending;
         if any_activity || transmitted {
             self.metrics.active_rounds += 1;
@@ -748,13 +720,7 @@ enum CallKind {
     Signal(Signal),
 }
 
-/// Default bound on the per-chunk transmission scratch, in slots (see
-/// [`Engine::set_transmit_chunk`]): large enough that the chunk-loop
-/// bookkeeping amortizes to nothing, small enough that a round with two
-/// million active edges flows through kilobytes of scratch.
-pub(crate) const TRANSMIT_CHUNK: usize = 4096;
-
-/// The per-message transmission discipline shared by both executors:
+/// The per-message transmission discipline shared by every executor:
 /// the CONGEST one-message-per-directed-edge rule (`last_carried` round
 /// stamps), the backlog arena, and per-message metrics/observer events.
 /// Executor-specific delivery — which inbox structure receives the
@@ -762,10 +728,20 @@ pub(crate) const TRANSMIT_CHUNK: usize = 4096;
 /// engines cannot drift apart on the discipline itself (their
 /// executions must stay bit-identical).
 pub(crate) struct Transmitter<'a, M> {
-    graph: &'a Graph,
     queues: &'a mut EdgeQueues<M>,
+    wire: Wire<'a>,
+}
+
+/// Everything a crossing touches besides the backlog queues. It is a
+/// separate borrow so that a backlog pass, which holds the queues, can
+/// deliver each head the moment it is popped.
+struct Wire<'a> {
+    graph: &'a Graph,
     last_carried: &'a mut [u64],
     round: u64,
+    /// The round's answer to [`TransmitObserver::wants_events`]: when
+    /// `false`, no [`TransmitEvent`] is built.
+    events: bool,
     delivered_msgs: u64,
     delivered_bits: u64,
     dropped_msgs: u64,
@@ -773,46 +749,50 @@ pub(crate) struct Transmitter<'a, M> {
 }
 
 impl<'a, M: Payload> Transmitter<'a, M> {
+    /// A transmitter for one round. `events` is the observer's
+    /// [`TransmitObserver::wants_events`], asked once for the round.
     pub(crate) fn new(
         graph: &'a Graph,
         queues: &'a mut EdgeQueues<M>,
         last_carried: &'a mut [u64],
         round: u64,
+        events: bool,
     ) -> Self {
         Transmitter {
-            graph,
             queues,
-            last_carried,
-            round,
-            delivered_msgs: 0,
-            delivered_bits: 0,
-            dropped_msgs: 0,
-            max_backlog_seen: 0,
+            wire: Wire {
+                graph,
+                last_carried,
+                round,
+                events,
+                delivered_msgs: 0,
+                delivered_bits: 0,
+                dropped_msgs: 0,
+                max_backlog_seen: 0,
+            },
         }
     }
 
-    /// Pumps this round's whole backlog — one head per active directed
-    /// edge, in active-list order — through `scratch` in chunks of at
-    /// most `limit` entries, delivering each chunk before popping the
-    /// next. Pool slots recycle chunk by chunk, so the round's peak
-    /// scratch is `min(limit, active edges)` regardless of congestion.
+    /// One backlog pass: the head of every active directed edge, in
+    /// active-list order, crosses through `cross` straight from the
+    /// arena. Each head is entitled to this round by construction (one
+    /// pop per active edge).
+    fn pump(&mut self, mut cross: impl FnMut(&mut Wire<'a>, usize, M)) {
+        let wire = &mut self.wire;
+        self.queues.transmit_each(|dir, msg| {
+            let dir = dir as usize;
+            wire.last_carried[dir] = wire.round;
+            cross(wire, dir, msg);
+        });
+    }
+
+    /// Delivers this round's whole backlog.
     pub(crate) fn pump_backlog<O: TransmitObserver + ?Sized>(
         &mut self,
-        scratch: &mut DirBatch<M>,
-        limit: usize,
         obs: &mut O,
         sink: &mut impl FnMut(NodeId, Port, M),
     ) {
-        loop {
-            scratch.clear();
-            let more = self.queues.transmit_chunk(scratch, limit);
-            for (dir, msg) in scratch.drain() {
-                self.deliver_head(dir as usize, msg, obs, sink);
-            }
-            if !more {
-                break;
-            }
-        }
+        self.pump(|w, dir, msg| w.deliver(dir, msg, obs, sink));
     }
 
     /// [`Transmitter::pump_backlog`] with the fault layer applied at
@@ -820,21 +800,10 @@ impl<'a, M: Payload> Transmitter<'a, M> {
     pub(crate) fn pump_backlog_faulty<O: TransmitObserver + ?Sized>(
         &mut self,
         fs: &mut FaultState<M>,
-        scratch: &mut DirBatch<M>,
-        limit: usize,
         obs: &mut O,
         sink: &mut impl FnMut(NodeId, Port, M),
     ) {
-        loop {
-            scratch.clear();
-            let more = self.queues.transmit_chunk(scratch, limit);
-            for (dir, msg) in scratch.drain() {
-                self.deliver_head_faulty(fs, dir as usize, msg, obs, sink);
-            }
-            if !more {
-                break;
-            }
-        }
+        self.pump(|w, dir, msg| w.transit(fs, dir, msg, obs, sink));
     }
 
     /// [`Transmitter::pump_backlog`] with the latency (and optional
@@ -843,35 +812,28 @@ impl<'a, M: Payload> Transmitter<'a, M> {
         &mut self,
         lat: &mut LatencyState<M>,
         faults: Option<&CompiledFaults>,
-        scratch: &mut DirBatch<M>,
-        limit: usize,
         obs: &mut O,
         sink: &mut impl FnMut(NodeId, Port, M),
     ) {
-        loop {
-            scratch.clear();
-            let more = self.queues.transmit_chunk(scratch, limit);
-            for (dir, msg) in scratch.drain() {
-                self.deliver_head_latent(lat, faults, dir as usize, msg, obs, sink);
-            }
-            if !more {
-                break;
-            }
-        }
+        self.pump(|w, dir, msg| w.transit_latent(lat, faults, dir, msg, obs, sink));
     }
 
-    /// Delivers the head of a backlogged edge — it is entitled to this
-    /// round by construction (one pop per active edge).
+    /// Claims directed edge `dir` for a fresh send: returns the message
+    /// when the edge is idle this round (stamping it as carrying), and
+    /// otherwise queues it behind the backlog (FIFO). A queued message
+    /// meets the fault and latency layers only in the round it actually
+    /// crosses.
     #[inline]
-    pub(crate) fn deliver_head<O: TransmitObserver + ?Sized>(
-        &mut self,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        self.last_carried[dir] = self.round;
-        self.deliver(dir, msg, obs, sink);
+    fn claim(&mut self, dir: usize, msg: M) -> Option<M> {
+        if self.wire.last_carried[dir] == self.wire.round {
+            let len = self.queues.push_dir(dir, msg);
+            // `+ 1` counts the message that already crossed this round.
+            self.wire.max_backlog_seen = self.wire.max_backlog_seen.max(len + 1);
+            None
+        } else {
+            self.wire.last_carried[dir] = self.wire.round;
+            Some(msg)
+        }
     }
 
     /// Offers a fresh send: delivers directly when the edge is idle
@@ -884,57 +846,13 @@ impl<'a, M: Payload> Transmitter<'a, M> {
         obs: &mut O,
         sink: &mut impl FnMut(NodeId, Port, M),
     ) {
-        if self.last_carried[dir] == self.round {
-            let len = self.queues.push_dir(dir, msg);
-            // `+ 1` counts the message that already crossed this round.
-            self.max_backlog_seen = self.max_backlog_seen.max(len + 1);
-        } else {
-            self.last_carried[dir] = self.round;
-            self.deliver(dir, msg, obs, sink);
+        if let Some(msg) = self.claim(dir, msg) {
+            self.wire.deliver(dir, msg, obs, sink);
         }
-    }
-
-    /// Releases every fault-delayed message due this round, in
-    /// `(due round, crossing order)` order — identical on both
-    /// executors because the heap itself lives in the shared engine
-    /// state. Arrivals at nodes that crashed in the meantime are
-    /// discarded (the destination is gone).
-    pub(crate) fn release_due<O: TransmitObserver + ?Sized>(
-        &mut self,
-        fs: &mut FaultState<M>,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        while fs.due_now(self.round) {
-            // welle-lint: allow(no-lib-unwrap) — invariant: due_now() just peeked a head element at or before this round
-            let d = fs.delayed.pop().expect("due_now implies nonempty");
-            let dst = self.graph.directed_info(d.dir as usize).dst;
-            if fs.compiled.is_crashed(dst.index(), self.round) {
-                self.dropped_msgs += 1;
-                continue;
-            }
-            self.deliver(d.dir as usize, d.msg, obs, sink);
-        }
-    }
-
-    /// [`Transmitter::deliver_head`] with the fault layer applied at the
-    /// crossing.
-    #[inline]
-    pub(crate) fn deliver_head_faulty<O: TransmitObserver + ?Sized>(
-        &mut self,
-        fs: &mut FaultState<M>,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        self.last_carried[dir] = self.round;
-        self.transit(fs, dir, msg, obs, sink);
     }
 
     /// [`Transmitter::offer`] with the fault layer applied at the
-    /// crossing. Joining the backlog defers the fault decision to the
-    /// round the message actually crosses.
+    /// crossing.
     #[inline]
     pub(crate) fn offer_faulty<O: TransmitObserver + ?Sized>(
         &mut self,
@@ -944,21 +862,113 @@ impl<'a, M: Payload> Transmitter<'a, M> {
         obs: &mut O,
         sink: &mut impl FnMut(NodeId, Port, M),
     ) {
-        if self.last_carried[dir] == self.round {
-            let len = self.queues.push_dir(dir, msg);
-            self.max_backlog_seen = self.max_backlog_seen.max(len + 1);
-        } else {
-            self.last_carried[dir] = self.round;
-            self.transit(fs, dir, msg, obs, sink);
+        if let Some(msg) = self.claim(dir, msg) {
+            self.wire.transit(fs, dir, msg, obs, sink);
         }
     }
 
+    /// [`Transmitter::offer`] with the latency (and optional fault)
+    /// layer applied at the crossing.
+    #[inline]
+    pub(crate) fn offer_latent<O: TransmitObserver + ?Sized>(
+        &mut self,
+        lat: &mut LatencyState<M>,
+        faults: Option<&CompiledFaults>,
+        dir: usize,
+        msg: M,
+        obs: &mut O,
+        sink: &mut impl FnMut(NodeId, Port, M),
+    ) {
+        if let Some(msg) = self.claim(dir, msg) {
+            self.wire.transit_latent(lat, faults, dir, msg, obs, sink);
+        }
+    }
+
+    /// Releases every fault-delayed message due this round, in
+    /// `(due round, crossing order)` order — identical on every
+    /// executor because the heap itself lives in the shared engine
+    /// state. Arrivals at nodes that crashed in the meantime are
+    /// discarded (the destination is gone).
+    pub(crate) fn release_due<O: TransmitObserver + ?Sized>(
+        &mut self,
+        fs: &mut FaultState<M>,
+        obs: &mut O,
+        sink: &mut impl FnMut(NodeId, Port, M),
+    ) {
+        let w = &mut self.wire;
+        while fs.due_now(w.round) {
+            // welle-lint: allow(no-lib-unwrap) — invariant: due_now() just peeked a head element at or before this round
+            let d = fs.delayed.pop().expect("due_now implies nonempty");
+            let (dst, _) = w.graph.directed_target(d.dir as usize);
+            if fs.compiled.is_crashed(dst.index(), w.round) {
+                w.dropped_msgs += 1;
+                continue;
+            }
+            w.deliver(d.dir as usize, d.msg, obs, sink);
+        }
+    }
+
+    /// Releases every latency-parked message due by this round's
+    /// boundary, in `(due tick, park order)` order. Arrivals at nodes
+    /// that crashed in the meantime are discarded, exactly as in
+    /// [`Transmitter::release_due`].
+    pub(crate) fn release_latent<O: TransmitObserver + ?Sized>(
+        &mut self,
+        lat: &mut LatencyState<M>,
+        faults: Option<&CompiledFaults>,
+        obs: &mut O,
+        sink: &mut impl FnMut(NodeId, Port, M),
+    ) {
+        let w = &mut self.wire;
+        let horizon = w.round.saturating_add(1).saturating_mul(TICKS_PER_ROUND);
+        while let Some(d) = lat.pop_due(horizon) {
+            if let Some(c) = faults {
+                let (dst, _) = w.graph.directed_target(d.dir as usize);
+                if c.is_crashed(dst.index(), w.round) {
+                    w.dropped_msgs += 1;
+                    continue;
+                }
+            }
+            lat.note_delivered(d.due);
+            w.deliver(d.dir as usize, d.msg, obs, sink);
+        }
+    }
+
+    /// Messages delivered so far this round (for span event counts).
+    pub(crate) fn delivered_so_far(&self) -> u64 {
+        self.wire.delivered_msgs
+    }
+
+    /// Crossings settled so far this round: delivered plus dropped.
+    pub(crate) fn settled_so_far(&self) -> u64 {
+        self.wire.delivered_msgs + self.wire.dropped_msgs
+    }
+
+    /// Folds the accumulated counters into `metrics` and returns them as
+    /// this round's flow, for the telemetry layer (ignored when
+    /// telemetry is off).
+    pub(crate) fn finish(self, metrics: &mut Metrics) -> RoundFlow {
+        let w = self.wire;
+        metrics.messages += w.delivered_msgs;
+        metrics.bits += w.delivered_bits;
+        metrics.dropped_messages += w.dropped_msgs;
+        metrics.max_edge_backlog = metrics.max_edge_backlog.max(w.max_backlog_seen);
+        RoundFlow {
+            messages: w.delivered_msgs,
+            bits: w.delivered_bits,
+            dropped: w.dropped_msgs,
+            max_backlog: w.max_backlog_seen,
+        }
+    }
+}
+
+impl Wire<'_> {
     /// One message crossing directed edge `dir` this round, under
     /// faults: suppressed if the edge is cut or either endpoint has
     /// crashed, dropped i.i.d. per the plan's rate, parked if the edge
     /// is slow, delivered otherwise. All decisions are pure functions of
     /// the compiled plan and `(round, dir)`, so executors agree.
-    fn transit<O: TransmitObserver + ?Sized>(
+    fn transit<M: Payload, O: TransmitObserver + ?Sized>(
         &mut self,
         fs: &mut FaultState<M>,
         dir: usize,
@@ -984,82 +994,16 @@ impl<'a, M: Payload> Transmitter<'a, M> {
         }
     }
 
-    /// Releases every latency-parked message due by this round's
-    /// boundary, in `(due tick, park order)` order. Arrivals at nodes
-    /// that crashed in the meantime are discarded, exactly as in
-    /// [`Transmitter::release_due`].
-    pub(crate) fn release_latent<O: TransmitObserver + ?Sized>(
-        &mut self,
-        lat: &mut LatencyState<M>,
-        faults: Option<&CompiledFaults>,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        let horizon = self
-            .round
-            .saturating_add(1)
-            .saturating_mul(TICKS_PER_ROUND);
-        while let Some(d) = lat.pop_due(horizon) {
-            if let Some(c) = faults {
-                let dst = self.graph.directed_info(d.dir as usize).dst;
-                if c.is_crashed(dst.index(), self.round) {
-                    self.dropped_msgs += 1;
-                    continue;
-                }
-            }
-            lat.note_delivered(d.due);
-            self.deliver(d.dir as usize, d.msg, obs, sink);
-        }
-    }
-
-    /// [`Transmitter::deliver_head`] with the latency (and optional
-    /// fault) layer applied at the crossing.
-    #[inline]
-    pub(crate) fn deliver_head_latent<O: TransmitObserver + ?Sized>(
-        &mut self,
-        lat: &mut LatencyState<M>,
-        faults: Option<&CompiledFaults>,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        self.last_carried[dir] = self.round;
-        self.transit_latent(lat, faults, dir, msg, obs, sink);
-    }
-
-    /// [`Transmitter::offer`] with the latency (and optional fault)
-    /// layer applied at the crossing. Joining the backlog defers both
-    /// decisions to the round the message actually crosses.
-    #[inline]
-    pub(crate) fn offer_latent<O: TransmitObserver + ?Sized>(
-        &mut self,
-        lat: &mut LatencyState<M>,
-        faults: Option<&CompiledFaults>,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        if self.last_carried[dir] == self.round {
-            let len = self.queues.push_dir(dir, msg);
-            self.max_backlog_seen = self.max_backlog_seen.max(len + 1);
-        } else {
-            self.last_carried[dir] = self.round;
-            self.transit_latent(lat, faults, dir, msg, obs, sink);
-        }
-    }
-
     /// One message crossing directed edge `dir` this round, under a
     /// latency model and (optionally) faults. Fault decisions — cuts,
-    /// crashes, i.i.d. drops — are exactly those of
-    /// [`Transmitter::transit`]; the fault layer's per-edge delay folds
-    /// into the due tick instead of using a second heap. A delivery due
-    /// at or before the next round boundary happens now — with the zero
-    /// model that is *every* unfaulted delivery, which keeps this path
-    /// event-for-event identical to the round engine — and later ones
-    /// park on the tick heap.
-    fn transit_latent<O: TransmitObserver + ?Sized>(
+    /// crashes, i.i.d. drops — are exactly those of [`Wire::transit`];
+    /// the fault layer's per-edge delay folds into the due tick instead
+    /// of using a second heap. A delivery due at or before the next
+    /// round boundary happens now — with the zero model that is *every*
+    /// unfaulted delivery, which keeps this path event-for-event
+    /// identical to the round engine — and later ones park on the tick
+    /// heap.
+    fn transit_latent<M: Payload, O: TransmitObserver + ?Sized>(
         &mut self,
         lat: &mut LatencyState<M>,
         faults: Option<&CompiledFaults>,
@@ -1094,54 +1038,34 @@ impl<'a, M: Payload> Transmitter<'a, M> {
         }
     }
 
+    /// Hands `msg` to its target's inbox. Only the two target columns
+    /// are read; the full [`welle_graph::DirInfo`] behind a
+    /// [`TransmitEvent`] is assembled only for a listening observer.
     #[inline]
-    fn deliver<O: TransmitObserver + ?Sized>(
+    fn deliver<M: Payload, O: TransmitObserver + ?Sized>(
         &mut self,
         dir: usize,
         msg: M,
         obs: &mut O,
         sink: &mut impl FnMut(NodeId, Port, M),
     ) {
-        let info = self.graph.directed_info(dir);
         let bits = msg.bit_size();
         self.delivered_msgs += 1;
         self.delivered_bits += bits as u64;
-        obs.on_transmit(&TransmitEvent {
-            round: self.round,
-            from: info.src,
-            from_port: info.src_port,
-            to: info.dst,
-            to_port: info.dst_port,
-            edge: info.edge,
-            bits,
-        });
-        sink(info.dst, info.dst_port, msg);
-    }
-
-    /// Messages delivered so far this round (for span event counts).
-    pub(crate) fn delivered_so_far(&self) -> u64 {
-        self.delivered_msgs
-    }
-
-    /// Crossings settled so far this round: delivered plus dropped.
-    pub(crate) fn settled_so_far(&self) -> u64 {
-        self.delivered_msgs + self.dropped_msgs
-    }
-
-    /// Folds the accumulated counters into `metrics` and returns them as
-    /// this round's flow, for the telemetry layer (ignored when
-    /// telemetry is off).
-    pub(crate) fn finish(self, metrics: &mut Metrics) -> RoundFlow {
-        metrics.messages += self.delivered_msgs;
-        metrics.bits += self.delivered_bits;
-        metrics.dropped_messages += self.dropped_msgs;
-        metrics.max_edge_backlog = metrics.max_edge_backlog.max(self.max_backlog_seen);
-        RoundFlow {
-            messages: self.delivered_msgs,
-            bits: self.delivered_bits,
-            dropped: self.dropped_msgs,
-            max_backlog: self.max_backlog_seen,
+        if self.events {
+            let info = self.graph.directed_info(dir);
+            obs.on_transmit(&TransmitEvent {
+                round: self.round,
+                from: info.src,
+                from_port: info.src_port,
+                to: info.dst,
+                to_port: info.dst_port,
+                edge: info.edge,
+                bits,
+            });
         }
+        let (dst, dst_port) = self.graph.directed_target(dir);
+        sink(dst, dst_port, msg);
     }
 }
 

@@ -78,6 +78,14 @@ pub struct TransmitEvent {
 pub trait TransmitObserver {
     /// Called once per message, in transmission order.
     fn on_transmit(&mut self, event: &TransmitEvent);
+
+    /// Whether this observer listens at all. The engines ask once per
+    /// round; on `false` they neither build [`TransmitEvent`]s nor call
+    /// [`TransmitObserver::on_transmit`] for that round. Only an
+    /// observer that ignores every event may return `false`.
+    fn wants_events(&self) -> bool {
+        true
+    }
 }
 
 /// Observer that does nothing.
@@ -86,6 +94,10 @@ pub struct NoopObserver;
 
 impl TransmitObserver for NoopObserver {
     fn on_transmit(&mut self, _event: &TransmitEvent) {}
+
+    fn wants_events(&self) -> bool {
+        false
+    }
 }
 
 /// Observer recording every event (tests / small traces only).
@@ -117,6 +129,13 @@ mod tests {
         assert_eq!(m.messages, 0);
         assert_eq!(m.bits, 0);
         assert_eq!(m.sent_by_node, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn only_the_noop_observer_declines_events() {
+        assert!(!NoopObserver.wants_events());
+        assert!(RecordingObserver::default().wants_events());
+        assert!((|_e: &TransmitEvent| {}).wants_events());
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //!   slot costs exactly `size_of::<M>() + 4` bytes and the transmit
 //!   scan walks densely packed data. (This is why [`Payload`] requires
 //!   `Default`.)
-//! * **Bounded per-round batches.** [`EdgeQueues::transmit_chunk`]
-//!   pops queue heads through a caller-owned [`DirBatch`] scratch of
-//!   bounded size instead of materializing the whole round: a round
-//!   with two million active edges flows through a few thousand
-//!   recycled scratch slots, with pool slots freed as each chunk is
-//!   handed out.
+//! * **Heads straight to the consumer.** [`EdgeQueues::transmit_each`]
+//!   pops one head per active edge and hands it to the caller's
+//!   closure, which delivers it into an inbox on the spot. No round is
+//!   ever materialized in a scratch batch, and each popped slot is back
+//!   on the free list before the closure runs, so a round with two
+//!   million active edges needs no memory beyond the arena itself.
 //!
 //! [`Payload`]: crate::message::Payload
 
@@ -94,7 +94,7 @@ impl<M> DirBatch<M> {
 ///
 /// All operations are keyed by the directed index directly; callers
 /// resolve `(node, port)` to an index once per send, and
-/// [`EdgeQueues::transmit_chunk`] hands indices back so delivery never
+/// [`EdgeQueues::transmit_each`] hands indices back so delivery never
 /// recomputes them.
 #[derive(Debug)]
 pub(crate) struct EdgeQueues<M> {
@@ -111,12 +111,6 @@ pub(crate) struct EdgeQueues<M> {
     free: u32,
     /// Directed edges with at least one queued message, by index.
     active: Vec<u32>,
-    /// Scan cursor of an in-progress transmit pass over `active`
-    /// (0 between rounds).
-    scan: usize,
-    /// Compaction cursor of an in-progress transmit pass (entries
-    /// `active[..kept]` are still backed up after their head popped).
-    kept: usize,
     total_queued: u64,
     backlog: Vec<u32>,
 }
@@ -130,8 +124,6 @@ impl<M: Default> EdgeQueues<M> {
             next: Vec::new(),
             free: NIL,
             active: Vec::new(),
-            scan: 0,
-            kept: 0,
             total_queued: 0,
             backlog: vec![0; directed_edges],
         }
@@ -140,10 +132,6 @@ impl<M: Default> EdgeQueues<M> {
     /// Queues a message on the directed edge with index `dir`, returning
     /// the edge's queue length after the push (for backlog metrics).
     pub(crate) fn push_dir(&mut self, dir: usize, msg: M) -> u64 {
-        debug_assert!(
-            self.scan == 0 && self.kept == 0,
-            "push during an in-progress transmit pass would corrupt the active list"
-        );
         let slot = if self.free != NIL {
             let s = self.free;
             self.free = self.next[s as usize];
@@ -200,8 +188,6 @@ impl<M: Default> EdgeQueues<M> {
             self.free = crate::idx32(i);
         }
         self.active.clear();
-        self.scan = 0;
-        self.kept = 0;
         self.total_queued = 0;
         self.backlog.clear();
         self.backlog.resize(directed_edges, 0);
@@ -239,25 +225,19 @@ impl<M: Default> EdgeQueues<M> {
         self.pool.len()
     }
 
-    /// Transmits one message per active directed edge, appending
-    /// `(directed_index, msg)` entries to `out` in active-list order —
-    /// at most `limit` per call. Returns `true` while edges of this
-    /// round's pass remain, `false` once the pass is complete (the
-    /// active list is then compacted for the next round).
+    /// Transmits one message per active directed edge: pops each
+    /// edge's head in active-list order and passes `(directed_index,
+    /// msg)` to `deliver`. Each slot is back on the free list before
+    /// `deliver` sees its message, so the arena's peak is a function of
+    /// the traffic alone. Edges still backed up keep their relative
+    /// order in the active list for the next pass.
     ///
-    /// The engines drain each chunk into inboxes before pulling the
-    /// next, so a round's peak scratch is `min(limit, active edges)`
-    /// slots instead of one slot per active edge, and popped pool slots
-    /// recycle within the round. Between completed passes the cursor
-    /// state is zero; interleaving [`EdgeQueues::push_dir`] with an
-    /// unfinished pass is a bug (debug-asserted there), which the
-    /// engines respect by fully draining the backlog before offering
-    /// fresh sends.
-    pub(crate) fn transmit_chunk(&mut self, out: &mut DirBatch<M>, limit: usize) -> bool {
-        let end = self.active.len().min(self.scan.saturating_add(limit));
-        while self.scan < end {
-            let dir = self.active[self.scan];
-            self.scan += 1;
+    /// The pass holds `&mut self` throughout, so `deliver` cannot push
+    /// onto the queues while the active list is being compacted.
+    pub(crate) fn transmit_each(&mut self, mut deliver: impl FnMut(u32, M)) {
+        let mut kept = 0;
+        for i in 0..self.active.len() {
+            let dir = self.active[i];
             let d = dir as usize;
             let slot = self.head[d];
             debug_assert!(slot != NIL, "active directed edge has a queued message");
@@ -267,30 +247,16 @@ impl<M: Default> EdgeQueues<M> {
                 self.tail[d] = NIL;
             } else {
                 // Still backed up: stays in the active list.
-                self.active[self.kept] = dir;
-                self.kept += 1;
+                self.active[kept] = dir;
+                kept += 1;
             }
             self.next[slot as usize] = self.free;
             self.free = slot;
             self.total_queued -= 1;
             self.backlog[d] -= 1;
-            out.push(dir, msg);
+            deliver(dir, msg);
         }
-        if self.scan < self.active.len() {
-            return true;
-        }
-        self.active.truncate(self.kept);
-        self.scan = 0;
-        self.kept = 0;
-        false
-    }
-
-    /// Completes a whole transmit pass into `out` in one call (tests and
-    /// single-batch callers).
-    #[cfg(test)]
-    pub(crate) fn transmit_into(&mut self, out: &mut DirBatch<M>) {
-        let more = self.transmit_chunk(out, usize::MAX);
-        debug_assert!(!more, "an unlimited chunk completes the pass");
+        self.active.truncate(kept);
     }
 }
 
@@ -309,8 +275,11 @@ mod tests {
     use super::*;
     use welle_graph::{gen, NodeId, Port};
 
-    fn drained(seen: &mut DirBatch<u64>) -> Vec<(u32, u64)> {
-        seen.drain().collect()
+    /// One full transmit pass, collected in delivery order.
+    fn pass(q: &mut EdgeQueues<u64>) -> Vec<(u32, u64)> {
+        let mut seen = Vec::new();
+        q.transmit_each(|dir, msg| seen.push((dir, msg)));
+        seen
     }
 
     #[test]
@@ -323,18 +292,14 @@ mod tests {
         assert_eq!(q.push_dir(dir, 3), 3);
         assert_eq!(q.in_flight(), 3);
 
-        let mut seen = DirBatch::new();
-        q.transmit_into(&mut seen);
-        assert_eq!(drained(&mut seen), vec![(dir as u32, 1)]);
-        q.transmit_into(&mut seen);
-        q.transmit_into(&mut seen);
-        let msgs: Vec<u64> = drained(&mut seen).iter().map(|&(_, m)| m).collect();
+        assert_eq!(pass(&mut q), vec![(dir as u32, 1)]);
+        let mut msgs: Vec<u64> = pass(&mut q).iter().map(|&(_, m)| m).collect();
+        msgs.extend(pass(&mut q).iter().map(|&(_, m)| m));
         assert_eq!(msgs, vec![2, 3]);
         assert_eq!(q.in_flight(), 0);
 
         // Idle transmit is a no-op.
-        q.transmit_into(&mut seen);
-        assert!(seen.is_empty());
+        assert!(pass(&mut q).is_empty());
     }
 
     #[test]
@@ -345,9 +310,7 @@ mod tests {
         for port in 0..3 {
             q.push_dir(g.directed_index(hub, Port::new(port)), port as u64);
         }
-        let mut seen = DirBatch::new();
-        q.transmit_into(&mut seen);
-        let mut msgs: Vec<u64> = drained(&mut seen).iter().map(|&(_, m)| m).collect();
+        let mut msgs: Vec<u64> = pass(&mut q).iter().map(|&(_, m)| m).collect();
         msgs.sort_unstable();
         assert_eq!(msgs, vec![0, 1, 2]);
     }
@@ -358,9 +321,7 @@ mod tests {
         let mut q: EdgeQueues<u64> = EdgeQueues::new(g.directed_edge_count());
         q.push_dir(g.directed_index(NodeId::new(0), Port::new(0)), 10);
         q.push_dir(g.directed_index(NodeId::new(1), Port::new(0)), 20);
-        let mut seen = DirBatch::new();
-        q.transmit_into(&mut seen);
-        let mut got: Vec<(usize, u64)> = drained(&mut seen)
+        let mut got: Vec<(usize, u64)> = pass(&mut q)
             .iter()
             .map(|&(dir, m)| (g.directed_source(dir as usize).0.index(), m))
             .collect();
@@ -373,12 +334,10 @@ mod tests {
         let g = gen::path(2).unwrap();
         let mut q: EdgeQueues<u64> = EdgeQueues::new(g.directed_edge_count());
         let dir = g.directed_index(NodeId::new(0), Port::new(0));
-        let mut out = DirBatch::new();
         let mut total = 0usize;
         for round in 0..100u64 {
             q.push_dir(dir, round);
-            q.transmit_into(&mut out);
-            total += drained(&mut out).len();
+            total += pass(&mut q).len();
         }
         assert_eq!(total, 100);
         // Steady-state traffic of one in-flight message reuses one slot.
@@ -386,55 +345,56 @@ mod tests {
     }
 
     #[test]
-    fn chunked_pass_matches_unbounded_pass() {
-        // The bounded-arena pump must hand out exactly the unbounded
-        // pass's sequence, at every chunk size, and leave the same
-        // queue state behind.
+    fn transmit_each_pops_one_head_per_active_edge_in_order() {
         let g = gen::clique(6).unwrap();
-        let dirs: Vec<usize> = (0..g.directed_edge_count()).collect();
-        let fill = |q: &mut EdgeQueues<u64>| {
-            for (k, &dir) in dirs.iter().enumerate() {
-                // Mixed depths: some edges idle, some backed up.
-                for copy in 0..(k % 4) {
-                    q.push_dir(dir, (k * 10 + copy) as u64);
-                }
+        let dcount = g.directed_edge_count();
+        let mut q: EdgeQueues<u64> = EdgeQueues::new(dcount);
+        // Fill in descending index order, so the active list is not
+        // simply index order, with mixed depths: some edges idle, some
+        // backed up several deep.
+        for k in (0..dcount).rev() {
+            for copy in 0..(k % 4) {
+                q.push_dir(k, (k * 10 + copy) as u64);
             }
-        };
-        let mut oracle: EdgeQueues<u64> = EdgeQueues::new(g.directed_edge_count());
-        fill(&mut oracle);
-        let mut want = Vec::new();
-        loop {
-            let mut out = DirBatch::new();
-            oracle.transmit_into(&mut out);
-            if out.is_empty() {
-                break;
-            }
-            want.push(drained(&mut out));
         }
-        for chunk in [1usize, 2, 3, 7, usize::MAX] {
-            let mut q: EdgeQueues<u64> = EdgeQueues::new(g.directed_edge_count());
-            fill(&mut q);
-            let mut got = Vec::new();
-            loop {
-                let mut round = Vec::new();
-                let mut scratch = DirBatch::new();
-                loop {
-                    scratch.clear();
-                    let more = q.transmit_chunk(&mut scratch, chunk);
-                    assert!(scratch.len() <= chunk, "scratch bounded by the chunk");
-                    round.extend(scratch.drain());
-                    if !more {
-                        break;
-                    }
-                }
-                if round.is_empty() {
-                    break;
-                }
-                got.push(round);
+        let mut passes = 0;
+        while q.in_flight() > 0 {
+            let active = q.active.clone();
+            let heads: Vec<u64> = active
+                .iter()
+                .map(|&d| q.pool[q.head[d as usize] as usize])
+                .collect();
+            let backlog = q.backlog.clone();
+            let in_flight = q.in_flight();
+
+            let seen = pass(&mut q);
+            // Exactly one head per active edge, in active-list order.
+            let want: Vec<(u32, u64)> = active.iter().copied().zip(heads).collect();
+            assert_eq!(seen, want, "pass {passes}");
+            // Backed-up edges stay active, in their relative order.
+            let still: Vec<u32> = active
+                .iter()
+                .copied()
+                .filter(|&d| backlog[d as usize] > 1)
+                .collect();
+            assert_eq!(q.active, still, "pass {passes}");
+            // Each yielded message leaves its edge's backlog and the
+            // in-flight count exactly once.
+            assert_eq!(q.in_flight(), in_flight - seen.len() as u64);
+            for (d, (&now, &before)) in q.backlog.iter().zip(&backlog).enumerate() {
+                let popped = u32::from(active.contains(&crate::idx32(d)));
+                assert_eq!(now, before - popped, "edge {d}");
             }
-            assert_eq!(got, want, "chunk = {chunk}");
-            assert_eq!(q.in_flight(), 0);
+            // A fresh send between passes joins behind the survivors.
+            if passes == 0 {
+                q.push_dir(0, 999);
+                assert_eq!(q.active.last(), Some(&0));
+            }
+            passes += 1;
         }
+        assert_eq!(passes, 3, "the deepest queue holds three messages");
+        assert!(q.active.is_empty());
+        assert!(q.backlog.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -459,8 +419,6 @@ mod tests {
         assert_eq!(q.arena_capacity(), 0, "oversized arena released");
         // And the queue still works after the release.
         q.push_dir(dir, 7);
-        let mut out = DirBatch::new();
-        q.transmit_into(&mut out);
-        assert_eq!(drained(&mut out), vec![(dir as u32, 7)]);
+        assert_eq!(pass(&mut q), vec![(dir as u32, 7)]);
     }
 }

@@ -361,12 +361,6 @@ impl<P: Protocol> ThreadedEngine<P> {
         self.inner.peak_arena_slots()
     }
 
-    /// Caps the transmission scratch of the serial merge phase; see
-    /// [`Engine::set_transmit_chunk`].
-    pub fn set_transmit_chunk(&mut self, limit: usize) {
-        self.inner.set_transmit_chunk(limit);
-    }
-
     /// Immutable view of the protocol instances.
     pub fn nodes(&self) -> &[P] {
         self.inner.nodes()
@@ -653,14 +647,11 @@ impl<P: Protocol> ThreadedEngine<P> {
         let mut any_activity = starting;
         let mut transmitted = false;
 
-        // Backlogged edges deliver their queue head first (pumped in
-        // bounded chunks) — exactly the serial engine's order; the
-        // discipline itself is the shared [`Transmitter`], only the
-        // shard-routed inbox sink is ours.
-        let mut scratch = std::mem::take(&mut self.inner.deliveries);
+        // Backlogged edges deliver their queue head first — exactly the
+        // serial engine's order; the discipline itself is the shared
+        // [`Transmitter`], only the shard-routed inbox sink is ours.
         let mut pending = std::mem::take(&mut self.inner.pending);
         let mut faults = self.inner.faults.take();
-        let chunk = self.inner.chunk_limit;
         transmitted |= self.inner.queues.in_flight() > 0
             || !pending.is_empty()
             || faults.as_ref().is_some_and(|f| f.due_now(self.inner.round));
@@ -674,6 +665,7 @@ impl<P: Protocol> ThreadedEngine<P> {
                 &mut self.inner.queues,
                 &mut self.inner.last_carried,
                 self.inner.round,
+                obs.wants_events(),
             );
             let mut views: Vec<&mut Shard<P>> =
                 shards.iter_mut().map(|s| s.deref_mut()).collect();
@@ -681,7 +673,7 @@ impl<P: Protocol> ThreadedEngine<P> {
                 let mut sink = shard_sink(&mut views, shard_len, &mut inbox_total);
                 match faults.as_deref_mut() {
                     None => {
-                        tx.pump_backlog(&mut scratch, chunk, obs, &mut sink);
+                        tx.pump_backlog(obs, &mut sink);
                         // Signal sends queued between runs (see
                         // `Engine::signal`).
                         for (dir, msg) in pending.drain() {
@@ -690,7 +682,7 @@ impl<P: Protocol> ThreadedEngine<P> {
                     }
                     Some(fs) => {
                         tx.release_due(fs, obs, &mut sink);
-                        tx.pump_backlog_faulty(fs, &mut scratch, chunk, obs, &mut sink);
+                        tx.pump_backlog_faulty(fs, obs, &mut sink);
                         for (dir, msg) in pending.drain() {
                             tx.offer_faulty(fs, dir as usize, msg, obs, &mut sink);
                         }
@@ -738,7 +730,6 @@ impl<P: Protocol> ThreadedEngine<P> {
             t.end(SpanStage::Deliver, t_deliver, flow.messages);
         }
         self.inner.faults = faults;
-        self.inner.deliveries = scratch;
         self.inner.pending = pending;
 
         if any_activity || transmitted {

@@ -1,56 +1,24 @@
-//! Differential suite for the bounded-arena transmit pump.
+//! Differential suite for the recycling message arena.
 //!
-//! The engines drain each round's sends through a recycling slot arena
-//! in fixed-size chunks ([`Engine::set_transmit_chunk`]). The contract:
-//! the chunk limit bounds *memory*, never *behaviour* — at any setting,
-//! on any graph, seed, and fault plan, every executor replays the exact
-//! same transmission stream, metrics, and outcome as the unchunked run.
+//! Every round, each backlogged edge's head is popped from the shared
+//! slot arena straight into its target's inbox, its slot freed before
+//! delivery. The contract: the arena is invisible to behaviour and
+//! airtight in memory. On any graph, seed and fault plan, the serial,
+//! threaded and zero-latency async executors replay the same
+//! transmission stream, metrics, outcome and arena peak, and a
+//! finished run leaves no message behind.
 //!
-//! This file is the CI fence for the bounded-arena engine rework (see
+//! This file is the CI fence for the arena (see
 //! `.github/workflows/ci.yml`).
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{agreeing_executors, fault_plan, flood_executor, random_connected_graph};
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
-use welle_congest::testing::FloodMax;
-use welle_congest::{
-    AsyncEngine, Engine, EngineConfig, FaultPlan, LatencyModel, Metrics, RecordingObserver,
-    ThreadedEngine, TransmitEvent,
-};
+use welle_congest::{Exec, FaultPlan, Metrics, RecordingObserver, TransmitEvent};
 use welle_graph::Graph;
-
-fn random_connected_graph(n: usize, extra: usize, seed: u64) -> Arc<Graph> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = welle_graph::GraphBuilder::new(n);
-    for child in 1..n {
-        let parent = rand::RngExt::random_range(&mut rng, 0..child);
-        b.add_edge(parent, child).unwrap();
-    }
-    for _ in 0..extra {
-        let u = rand::RngExt::random_range(&mut rng, 0..n);
-        let v = rand::RngExt::random_range(&mut rng, 0..n);
-        if u != v && !b.has_edge(u, v) {
-            b.add_edge(u, v).unwrap();
-        }
-    }
-    Arc::new(b.build().unwrap())
-}
-
-/// Clean, drops, delays, and drops + crashes — the fault shapes the
-/// chunked pump must stay transparent under.
-fn fault_plan(kind: u8, seed: u64) -> Option<FaultPlan> {
-    match kind % 4 {
-        0 => None,
-        1 => Some(FaultPlan::new(seed).drop_rate(0.15)),
-        2 => Some(FaultPlan::new(seed).delay_all(2)),
-        _ => Some(FaultPlan::new(seed).drop_rate(0.1).crash_fraction(0.1, 3)),
-    }
-}
-
-fn mk_node(i: usize) -> FloodMax {
-    FloodMax::new((i as u64).wrapping_mul(131) % 97)
-}
 
 struct Run {
     events: Vec<TransmitEvent>,
@@ -58,22 +26,11 @@ struct Run {
     round: u64,
     done: bool,
     peak_arena_slots: u64,
+    in_flight: u64,
 }
 
-/// `chunk = None` leaves the engine at its default transmit chunk.
-fn run_serial(g: &Arc<Graph>, seed: u64, plan: Option<&FaultPlan>, chunk: Option<usize>) -> Run {
-    let nodes = (0..g.n()).map(mk_node).collect();
-    let cfg = EngineConfig {
-        seed,
-        bandwidth_bits: None,
-    };
-    let mut e = Engine::new(Arc::clone(g), nodes, cfg);
-    if let Some(c) = chunk {
-        e.set_transmit_chunk(c);
-    }
-    if let Some(p) = plan {
-        e.set_fault_plan(p).unwrap();
-    }
+fn run(exec: Exec, g: &Arc<Graph>, seed: u64, plan: Option<&FaultPlan>) -> Run {
+    let mut e = flood_executor(exec, g, seed, plan);
     let mut rec = RecordingObserver::default();
     let out = e.run_observed(10_000, &mut rec);
     Run {
@@ -82,64 +39,7 @@ fn run_serial(g: &Arc<Graph>, seed: u64, plan: Option<&FaultPlan>, chunk: Option
         round: e.round(),
         done: out.is_done(),
         peak_arena_slots: e.peak_arena_slots(),
-    }
-}
-
-fn run_threaded(
-    g: &Arc<Graph>,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    chunk: Option<usize>,
-    workers: usize,
-) -> Run {
-    let nodes = (0..g.n()).map(mk_node).collect();
-    let cfg = EngineConfig {
-        seed,
-        bandwidth_bits: None,
-    };
-    let mut e = ThreadedEngine::new(Arc::clone(g), nodes, cfg, workers);
-    if let Some(c) = chunk {
-        e.set_transmit_chunk(c);
-    }
-    if let Some(p) = plan {
-        e.set_fault_plan(p).unwrap();
-    }
-    let mut rec = RecordingObserver::default();
-    let out = e.run_observed(10_000, &mut rec);
-    Run {
-        events: rec.events,
-        metrics: e.metrics().clone(),
-        round: e.round(),
-        done: out.is_done(),
-        peak_arena_slots: e.peak_arena_slots(),
-    }
-}
-
-fn run_async_zero(
-    g: &Arc<Graph>,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    chunk: Option<usize>,
-) -> Run {
-    let cfg = EngineConfig {
-        seed,
-        bandwidth_bits: None,
-    };
-    let mut e = AsyncEngine::from_fn(Arc::clone(g), cfg, LatencyModel::zero(), mk_node);
-    if let Some(c) = chunk {
-        e.set_transmit_chunk(c);
-    }
-    if let Some(p) = plan {
-        e.set_fault_plan(p).unwrap();
-    }
-    let mut rec = RecordingObserver::default();
-    let out = e.run_observed(10_000, &mut rec);
-    Run {
-        events: rec.events,
-        metrics: e.metrics().clone(),
-        round: e.round(),
-        done: out.is_done(),
-        peak_arena_slots: e.peak_arena_slots(),
+        in_flight: e.in_flight(),
     }
 }
 
@@ -154,11 +54,12 @@ fn assert_same(base: &Run, other: &Run, what: &str) -> Result<(), TestCaseError>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The tentpole contract: the transmit-chunk limit — down to one
-    /// slot at a time — is invisible to every observable, on every
-    /// executor, under every fault shape.
+    /// Every executor drains the arena identically: the same stream,
+    /// metrics and outcome, and — since the high-water mark is a pure
+    /// function of the traffic — the same arena peak, under every
+    /// fault shape.
     #[test]
-    fn chunk_limit_is_unobservable_on_every_executor(
+    fn executors_agree_on_stream_and_arena_peak(
         n in 4usize..24,
         extra in 0usize..16,
         seed in any::<u64>(),
@@ -167,24 +68,19 @@ proptest! {
     ) {
         let g = random_connected_graph(n, extra, seed);
         let plan = fault_plan(fault_kind, seed ^ 0xBEEF);
-        let base = run_serial(&g, seed, plan.as_ref(), None);
-        for chunk in [1usize, 2, 7] {
-            let s = run_serial(&g, seed, plan.as_ref(), Some(chunk));
-            assert_same(&base, &s, "serial/chunked")?;
-            // The arena's high-water mark is a pure function of the
-            // traffic, not of how finely the pump drains it.
-            prop_assert_eq!(base.peak_arena_slots, s.peak_arena_slots,
-                "chunk limit must not change the arena peak");
-            let t = run_threaded(&g, seed, plan.as_ref(), Some(chunk), workers);
-            assert_same(&base, &t, "threaded/chunked")?;
-            let a = run_async_zero(&g, seed, plan.as_ref(), Some(chunk));
-            assert_same(&base, &a, "async-zero/chunked")?;
+        let base = run(Exec::Serial, &g, seed, plan.as_ref());
+        for (name, exec) in agreeing_executors(workers) {
+            let other = run(exec, &g, seed, plan.as_ref());
+            assert_same(&base, &other, name)?;
+            prop_assert_eq!(base.peak_arena_slots, other.peak_arena_slots,
+                "{}: the arena peak must not depend on the executor", name);
         }
     }
 
-    /// Arena recycling is airtight: after a run every slot is back on
-    /// the free list (no leaks), and the peak never exceeds the total
-    /// traffic that ever entered the queues.
+    /// Arena recycling is airtight: after a finished run every message
+    /// has left the queues, the pending batch and the fault layer's
+    /// parking (no leaks), and the peak never exceeds the total traffic
+    /// that ever entered the queues.
     #[test]
     fn arena_slots_recycle_without_leaking(
         n in 4usize..24,
@@ -194,7 +90,9 @@ proptest! {
     ) {
         let g = random_connected_graph(n, extra, seed);
         let plan = fault_plan(fault_kind, seed ^ 0xBEEF);
-        let run = run_serial(&g, seed, plan.as_ref(), Some(1));
+        let run = run(Exec::Serial, &g, seed, plan.as_ref());
+        prop_assert!(run.done, "FloodMax finishes under every fault shape");
+        prop_assert_eq!(run.in_flight, 0, "a finished run left messages in flight");
         prop_assert!(run.peak_arena_slots <= run.metrics.messages + run.metrics.dropped_messages,
             "peak {} exceeds total traffic {}",
             run.peak_arena_slots, run.metrics.messages + run.metrics.dropped_messages);
